@@ -253,26 +253,11 @@ main()
                 serve::stateName(fg_outcome.state), fg_outcome.shard);
 
     // 11. The SIMD kernel layer: runtime dispatch (AVX2 vs scalar;
-    // force scalar with FC_FORCE_SCALAR=1) and the fp16 end-to-end
-    // mode, bit-identical to Mixed (docs/ARCHITECTURE.md,
-    // invariant 1).
+    // force scalar with FC_FORCE_SCALAR=1).
     std::printf("simd: avx2 %s, active level %s\n",
                 core::simd::avx2Available() ? "available"
                                             : "unavailable",
                 core::simd::levelName(core::simd::activeLevel()));
-
-    nn::BackendOptions fp16_backend = sequential_backend;
-    fp16_backend.precision = nn::Precision::Fp16;
-    const nn::InferenceResult half_run =
-        network.run(scene, fp16_backend);
-    const bool fp16_identical =
-        half_run.point_features.data() ==
-            sequential.point_features.data() &&
-        half_run.embedding.data() == sequential.embedding.data();
-    std::printf("fp16 mode: [%zu x %zu] features, vs mixed %s\n",
-                half_run.point_features.rows(),
-                half_run.point_features.cols(),
-                fp16_identical ? "bit-identical" : "DIVERGED (bug!)");
 
     // 12. Observability: the metrics registry and the /stats export
     // (full instrument table in docs/SERVING.md).

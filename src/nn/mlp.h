@@ -39,28 +39,15 @@ class LinearRelu
                bool relu = true);
 
     /**
-     * Apply to every row of @p x; returns [rows x out]. Rows are
-     * independent, so they dispatch in chunks over @p pool (null =
-     * sequential); every row's arithmetic is unchanged, making the
-     * result bit-identical at any thread count.
+     * Apply to every row of @p x into @p out ([rows x out], reshaped
+     * reusing its capacity — the allocation-free steady-state path;
+     * must not alias @p x). Rows are independent, so they dispatch in
+     * chunks over @p pool (null = sequential); every row's arithmetic
+     * is unchanged, making the result bit-identical at any thread
+     * count.
      */
-    Tensor forward(const Tensor &x,
-                   core::ThreadPool *pool = nullptr) const;
-
-    /** In-place overload: @p out is reshaped reusing its capacity
-     *  (the allocation-free steady-state path). @p out must not
-     *  alias @p x. */
     void forward(const Tensor &x, core::ThreadPool *pool,
                  Tensor &out) const;
-
-    /**
-     * fp16-storage overload (Precision::Fp16): activations stay in
-     * binary16 end to end, accumulation in fp32 via the shared
-     * core::simd dot scheme — bit-identical activations to the fp32-
-     * storage path at either dispatch level, half the bandwidth.
-     */
-    void forward(const HalfTensor &x, core::ThreadPool *pool,
-                 HalfTensor &out) const;
 
     std::size_t inDim() const { return in_; }
     std::size_t outDim() const { return out_; }
@@ -77,9 +64,6 @@ class LinearRelu
     std::size_t out_;
     bool relu_;
     Tensor weights_; // [out x in], fp16-rounded
-    // Same weights as binary16 bits (exact conversion — weights_ is
-    // already fp16-valued) for the fp16-storage forward.
-    std::vector<std::uint16_t> weights_fp16_;
     std::vector<float> bias_;
 };
 
@@ -95,25 +79,16 @@ class Mlp
      */
     Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed);
 
-    /** Row-chunked over @p pool, layer by layer (see LinearRelu). */
-    Tensor forward(const Tensor &x,
-                   core::ThreadPool *pool = nullptr) const;
-
     /**
-     * In-place overload: inter-layer activations ping-pong between
-     * two tensor slots of @p ws ("mlp.ping"/"mlp.pong" — shared by
-     * every Mlp drawing from the workspace, sized to the largest
-     * layer seen), and @p out is reshaped reusing its capacity.
-     * @p x and @p out must not be those slots (network code passes
-     * its own stage slots).
+     * Row-chunked over @p pool, layer by layer (see LinearRelu).
+     * Inter-layer activations ping-pong between two tensor slots of
+     * @p ws ("mlp.ping"/"mlp.pong" — shared by every Mlp drawing from
+     * the workspace, sized to the largest layer seen), and @p out is
+     * reshaped reusing its capacity. @p x and @p out must not be
+     * those slots (network code passes its own stage slots).
      */
     void forward(const Tensor &x, core::ThreadPool *pool,
                  core::Workspace &ws, Tensor &out) const;
-
-    /** fp16-storage overload; ping-pongs through the
-     *  "mlp.hping"/"mlp.hpong" workspace slots. */
-    void forward(const HalfTensor &x, core::ThreadPool *pool,
-                 core::Workspace &ws, HalfTensor &out) const;
 
     std::size_t inDim() const;
     std::size_t outDim() const;
@@ -128,24 +103,18 @@ class Mlp
 
 /**
  * Max-pool groups of @p group_size consecutive rows:
- * [groups * group_size x c] -> [groups x c]. The pooling-unit
- * operation that reduces each gathered neighborhood to one feature.
- * Groups own disjoint output rows and dispatch in chunks over
- * @p pool; results are bit-identical at any thread count.
+ * [groups * group_size x c] -> [groups x c] into @p out (capacity-
+ * reusing). The pooling-unit operation that reduces each gathered
+ * neighborhood to one feature. Groups own disjoint output rows and
+ * dispatch in chunks over @p pool; results are bit-identical at any
+ * thread count.
  */
-Tensor maxPoolGroups(const Tensor &x, std::size_t group_size,
-                     core::ThreadPool *pool = nullptr);
-
-/** In-place overload of maxPoolGroups (capacity-reusing @p out). */
 void maxPoolGroups(const Tensor &x, std::size_t group_size,
                    core::ThreadPool *pool, Tensor &out);
 
-/** Column-wise max over all rows: [n x c] -> [1 x c]. Sequential and
+/** Column-wise max over all rows: [n x c] -> [1 x c] into @p out,
+ *  reusing its capacity — allocation-free once warm. Sequential and
  *  deterministic (fold in row order). */
-Tensor globalMaxPool(const Tensor &x);
-
-/** In-place overload of globalMaxPool: @p out reuses capacity —
- *  allocation-free once warm. */
 void globalMaxPool(const Tensor &x, Tensor &out);
 
 } // namespace fc::nn

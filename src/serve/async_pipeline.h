@@ -141,16 +141,6 @@ struct ServeOptions
     bool pin_shards = true;
 
     /**
-     * Route each ticket's workspace checkout through its placement
-     * shard's own free list (the NUMA-local policy described in the
-     * file comment). false collapses all checkouts onto one shared
-     * pool — the pre-shard-local behavior, kept as an A/B lever for
-     * benchmarks (bench_shard_scaling compares both). Results are
-     * identical either way.
-     */
-    bool shard_local_workspaces = true;
-
-    /**
      * Per-class admission bounds layered on queue_capacity: at most
      * class_capacity[c] requests of class c may be queued at once
      * across all shards (0 = bounded only by queue_capacity). Keeps
@@ -209,11 +199,12 @@ class AsyncPipeline
      * keeps one shared cloud alive across attempts instead of
      * re-copying (or losing) it.
      *
-     * Admission allocates (the request record + queue node); the
-     * allocation-free guarantee covers the *processing* of warm
-     * same-shape requests, not the submit call itself. Results are
-     * deterministic: a given (cloud, request) pair produces the same
-     * BatchResult regardless of shard, class, or concurrency.
+     * Warm admission itself allocates nothing: request records and
+     * queue slots are recycled capacity-retaining. This overload
+     * still allocates the shared_ptr that wraps the moved cloud;
+     * trySubmitShared skips even that. Results are deterministic: a
+     * given (cloud, request) pair produces the same BatchResult
+     * regardless of shard, class, or concurrency.
      */
     std::optional<Ticket>
     trySubmit(data::PointCloud cloud, const BatchRequest &request = {},
@@ -410,8 +401,7 @@ class AsyncPipeline
     void notifyObserver(std::uint64_t id, Stage stage);
 
     /** Pop a warm workspace from @p shard's pool (reset) or create
-     *  one (first-seen per-shard concurrency). With
-     *  shard_local_workspaces off, every shard routes to pool 0. */
+     *  one (first-seen per-shard concurrency). */
     std::unique_ptr<ShardWorkspace> checkoutWorkspace(unsigned shard);
 
     /** Return @p ws to its OWNER's free list; @p returning_shard only

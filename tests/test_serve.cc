@@ -22,6 +22,8 @@
 #include "serve/async_pipeline.h"
 #include "serve/scheduler.h"
 
+#include "outcome_slots.h"
+
 namespace fc {
 namespace {
 
@@ -78,6 +80,7 @@ struct StageGate
 TEST(Scheduler, FifoOrderAndCapacity)
 {
     Scheduler scheduler(/*queue_capacity=*/2, /*num_threads=*/4);
+    test::OutcomeSlots slots(scheduler);
     const auto cloud = sharedScene(64, 1);
 
     const auto a = scheduler.trySubmit(cloud, {}, std::nullopt);
@@ -100,17 +103,18 @@ TEST(Scheduler, FifoOrderAndCapacity)
     const auto c = scheduler.trySubmit(cloud, {}, std::nullopt);
     ASSERT_TRUE(c);
 
-    scheduler.complete(job_a->id, BatchResult{});
+    slots.complete(job_a->id);
     EXPECT_TRUE(scheduler.poll(*a));
     EXPECT_EQ(scheduler.wait(*a).state, RequestState::Done);
+    EXPECT_EQ(slots.leased(), 0u) << "the consuming wait recycles";
 
     const auto job_b = scheduler.acquire();
     const auto job_c = scheduler.acquire();
     ASSERT_TRUE(job_b && job_c);
     EXPECT_EQ(job_b->id, b->id);
     EXPECT_EQ(job_c->id, c->id);
-    scheduler.complete(job_b->id, BatchResult{});
-    scheduler.complete(job_c->id, BatchResult{});
+    slots.complete(job_b->id);
+    slots.complete(job_c->id);
 }
 
 TEST(Scheduler, AcquireRetiresCancelledHead)
@@ -171,6 +175,7 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
     // 4 pool threads: requests spill only while in-flight (queued +
     // running) stays under 4.
     Scheduler scheduler(16, /*num_threads=*/4);
+    test::OutcomeSlots slots(scheduler);
     const auto cloud = sharedScene(64, 5);
     std::vector<Ticket> tickets;
     for (int i = 0; i < 6; ++i)
@@ -182,14 +187,14 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_FALSE(job->spill) << "request " << i;
-        scheduler.complete(job->id, BatchResult{});
+        slots.complete(job->id);
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_TRUE(job->spill) << "request " << i;
-        scheduler.complete(job->id, BatchResult{});
+        slots.complete(job->id);
         EXPECT_TRUE(scheduler.wait(tickets[i]).spilled);
     }
 }
@@ -199,6 +204,7 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
     // All four requests acquire at saturation (no spill); once three
     // complete, the survivor's next checkpoint switches it to spill.
     Scheduler scheduler(16, /*num_threads=*/4);
+    test::OutcomeSlots slots(scheduler);
     const auto cloud = sharedScene(64, 7);
     std::vector<Ticket> tickets;
     std::vector<Scheduler::Job> jobs;
@@ -210,24 +216,25 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
         EXPECT_FALSE(jobs.back().spill) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
-        scheduler.complete(jobs[i].id, BatchResult{});
+        slots.complete(jobs[i].id);
 
     bool spill = jobs[3].spill;
     ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill));
     EXPECT_TRUE(spill) << "1 in flight < 4 threads must now spill";
-    scheduler.complete(jobs[3].id, BatchResult{});
+    slots.complete(jobs[3].id);
     EXPECT_TRUE(scheduler.wait(tickets[3]).spilled);
 }
 
 TEST(Scheduler, WorkConservingOffNeverSpills)
 {
     Scheduler scheduler(4, 8, /*work_conserving=*/false);
+    test::OutcomeSlots slots(scheduler);
     const auto cloud = sharedScene(64, 6);
     const auto t = scheduler.trySubmit(cloud, {}, std::nullopt);
     const auto job = scheduler.acquire();
     ASSERT_TRUE(t && job);
     EXPECT_FALSE(job->spill); // 1 in flight < 8 threads, but pinned
-    scheduler.complete(job->id, BatchResult{});
+    slots.complete(job->id);
     EXPECT_FALSE(scheduler.wait(*t).spilled);
 }
 

@@ -217,27 +217,6 @@ TEST(WorkspaceAlloc, SecondClassificationInferIsAllocationFree)
     EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 }
 
-TEST(WorkspaceAlloc, SecondFp16InferIsAllocationFree)
-{
-    // The fp16 end-to-end mode keeps the steady-state guarantee: its
-    // HalfTensor intermediates live in workspace slots and reuse
-    // capacity exactly like the fp32 tensors they shadow.
-    const data::PointCloud scene = data::makeS3disScene(1024, 3);
-    const nn::Network network(tinySegModel(), 42);
-    nn::BackendOptions backend;
-    backend.method = part::Method::Fractal;
-    backend.threshold = 64;
-    backend.precision = nn::Precision::Fp16;
-
-    core::Workspace ws;
-    nn::InferenceResult out;
-    network.run(scene, backend, ws, out); // cold: grows slots
-    ws.reset();
-    const std::uint64_t before = fc::heapAllocCount();
-    network.run(scene, backend, ws, out); // warm
-    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
-}
-
 TEST(WorkspaceAlloc, SecondDelayedInferIsAllocationFree)
 {
     // The delayed-aggregation order adds two workspace slots (the
